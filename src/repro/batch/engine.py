@@ -240,7 +240,6 @@ class BatchEngine:
     # -- phase 2: batched camera pre-render ----------------------------
     def _pre_render(self, active: list[_Lane], max_requests: int) -> None:
         requesting = [lane for lane in active if lane.pending_camera_requests > 0]
-        noise_sigma = self.camera.params.texture_noise
         metadata: dict[int, tuple[float, float, float]] = {}
         cnn_items: list[tuple[BatchedCnnPerception, bytes, int, int]] = []
         for lane in requesting:  # repro: allow[PERF001] per-lane metadata lookup
@@ -258,13 +257,7 @@ class BatchEngine:
                 self.camera, self.world, self.dyn.x[idx], self.dyn.y[idx], self.dyn.yaw[idx]
             )
             for m, lane in enumerate(subset):  # repro: allow[PERF001] per-lane RNG + packaging
-                image = images[m]
-                camera = lane.cosim.env.camera
-                if noise_sigma > 0:
-                    image = image + camera._rng.normal(
-                        0.0, noise_sigma, image.shape
-                    ).astype(np.float32)
-                image = np.clip(image, 0.0, 1.0)
+                image = lane.cosim.env.camera.finish(images[m])
                 timestamp, heading_error, d = metadata[lane.index]
                 response = {
                     "height": image.shape[0],
@@ -338,9 +331,9 @@ class BatchEngine:
             kernels.limit_speed(w, speed, p)
             new_x, new_y = kernels.integrate_pose(w, dt, p)
 
-            wall_d = kernels.wall_distances(new_x, new_y, self.world)
-            s_new, seg_idx, diff = kernels.project_lanes(
-                np.column_stack([new_x, new_y]), self.world
+            wall_d = self.world.walls.min_distances(new_x, new_y)
+            s_new, seg_idx, diff = self.world.centerline.project_lanes(
+                np.column_stack([new_x, new_y])
             )
             d_new = np.empty(k)
             for m in range(k):  # repro: allow[PERF001] serial d uses a 2-vector BLAS dot

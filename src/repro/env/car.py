@@ -85,6 +85,9 @@ class CarDynamics:
         self.time = 0.0
         self._recovery_until = -1.0
         self._applied = AccelCommand()
+        #: Course coordinates of the last committed position, as in
+        #: :attr:`QuadrotorDynamics.course_memo`.
+        self.course_memo: tuple[float, float, float, float] | None = None
 
     @property
     def recovering(self) -> bool:
@@ -135,11 +138,13 @@ class CarDynamics:
 
         new_x = st.x + st.u * math.cos(st.yaw) * dt
         new_y = st.y + st.u * math.sin(st.yaw) * dt
-        if self.world.in_collision(np.array([new_x, new_y]), p.collision_radius):
+        course = self.world.free_course(np.array([new_x, new_y]), p.collision_radius)
+        if course is None:
             if not self.recovering:
                 self._handle_collision(new_x, new_y)
         else:
             st.x, st.y = new_x, new_y
+            self.course_memo = (new_x, new_y, *course)
 
         self.time += dt
 

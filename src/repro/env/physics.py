@@ -124,6 +124,10 @@ class QuadrotorDynamics:
         # Scratch buffer for the per-frame collision test; the world never
         # retains the array it is probed with.
         self._collision_probe = np.empty(2, dtype=float)
+        #: ``(x, y, s, d)``: course coordinates of the last committed
+        #: position the collision test projected (see ``World.free_course``),
+        #: so the environment simulator projects each pose once.
+        self.course_memo: tuple[float, float, float, float] | None = None
 
     @property
     def recovering(self) -> bool:
@@ -203,12 +207,14 @@ class QuadrotorDynamics:
         pos = self._collision_probe
         pos[0] = new_x
         pos[1] = new_y
-        if self.world.in_collision(pos, p.collision_radius):
+        course = self.world.free_course(pos, p.collision_radius)
+        if course is None:
             if not self.recovering:
                 self._handle_collision(new_x, new_y)
             # While recovering against the wall, hold position.
         else:
             st.x, st.y = new_x, new_y
+            self.course_memo = (new_x, new_y, *course)
 
         self.time += dt
 

@@ -189,10 +189,8 @@ class EnvSimulator:
                 command = self.controller.update(self.dynamics.state, dt)
             self.dynamics.step(command, dt)
             self.frame += 1
-            self._record_sample()
-            if self._goal_time is None and self.world.reached_goal(
-                self.position
-            ):
+            s = self._record_sample()
+            if self._goal_time is None and s >= self.world.goal_arclength:
                 self._goal_time = self.sim_time
 
     # ------------------------------------------------------------------
@@ -247,19 +245,33 @@ class EnvSimulator:
         exposes ground-truth kinematics); the calibrated behavioural
         classifier consumes it in place of pixels.
         """
-        st = self.dynamics.state
-        s, d = self.world.course_coordinates(np.array([st.x, st.y]))
-        return s, d, self.world.heading_error(st.pose)
+        s, d = self._course_frame()
+        return s, d, self.world.heading_error(self.dynamics.state.pose, s=s)
 
     @property
     def course_progress(self) -> float:
         """Fraction of the course completed, in [0, 1]."""
-        s, _ = self.world.course_coordinates(self.position)
+        s, _ = self._course_frame()
         return min(1.0, s / self.world.goal_arclength)
 
-    def _record_sample(self) -> None:
+    def _course_frame(self) -> tuple[float, float]:
+        """``(s, d)`` of the current position, projected once per pose.
+
+        The memo lives on the dynamics, whose collision test seeds it for
+        every position it commits; it is keyed on the position, so a state
+        written from outside (the batched engine, tests) is re-projected.
+        """
         st = self.dynamics.state
-        s, d = self.world.course_coordinates(np.array([st.x, st.y]))
+        memo = self.dynamics.course_memo
+        if memo is None or memo[0] != st.x or memo[1] != st.y:
+            s, d = self.world.course_coordinates(np.array([st.x, st.y]))
+            memo = self.dynamics.course_memo = (st.x, st.y, s, d)
+        return memo[2], memo[3]
+
+    def _record_sample(self) -> float:
+        """Log the current state; returns its course arclength."""
+        st = self.dynamics.state
+        s, d = self._course_frame()
         self.trajectory.append(
             TrajectorySample(
                 time=self.sim_time,
@@ -272,3 +284,4 @@ class EnvSimulator:
                 d=d,
             )
         )
+        return s

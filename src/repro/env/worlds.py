@@ -123,9 +123,14 @@ class World:
         """Return ``(s, d)``: arclength progress and signed lateral offset."""
         return self.centerline.project(position)
 
-    def heading_error(self, pose: Pose2) -> float:
-        """Signed angle between the pose heading and the course tangent."""
-        s, _ = self.centerline.project(pose.position)
+    def heading_error(self, pose: Pose2, s: float | None = None) -> float:
+        """Signed angle between the pose heading and the course tangent.
+
+        ``s`` is the pose's course arclength, for callers that already
+        projected the pose; by default it is projected here.
+        """
+        if s is None:
+            s, _ = self.centerline.project(pose.position)
         tangent = self.centerline.tangent_at_arclength(s)
         course_yaw = math.atan2(tangent[1], tangent[0])
         from repro.env.geometry import angle_difference
@@ -166,10 +171,21 @@ class World:
     def in_collision(self, position: np.ndarray, radius: float) -> bool:
         """True if a disc of ``radius`` at ``position`` touches a wall, or if
         the position has left the corridor entirely."""
+        return self.free_course(position, radius) is None
+
+    def free_course(
+        self, position: np.ndarray, radius: float
+    ) -> tuple[float, float] | None:
+        """The collision test, returning the projection it made.
+
+        ``None`` when :meth:`in_collision` holds, else the ``(s, d)``
+        course coordinates of ``position``, so the caller that commits
+        the position need not project it again.
+        """
         if self.wall_clearance(position) <= radius:
-            return True
-        _, d = self.course_coordinates(position)
-        return abs(d) >= self.half_width
+            return None
+        s, d = self.course_coordinates(position)
+        return None if abs(d) >= self.half_width else (s, d)
 
     def depth_along(self, pose: Pose2, relative_angle: float = 0.0, max_range: float = 100.0) -> float:
         """Ray-cast distance to the nearest wall along the pose heading.
@@ -194,24 +210,16 @@ class World:
 
         Returns ``(offsets, course_yaws)``: signed lateral offset and the
         course-tangent heading at the closest centerline point, for an
-        ``(N, 2)`` array of world points.  Used by batched consumers (the
-        MPC rollout, the camera's floor shader) that would otherwise call
-        :meth:`course_coordinates` in a Python loop.
+        ``(N, 2)`` array of world points (:meth:`Polyline.project_lanes
+        <repro.env.geometry.Polyline.project_lanes>` plus the offset and
+        heading).  Used by batched consumers such as the MPC rollout that
+        would otherwise call :meth:`course_coordinates` in a Python loop.
         """
-        points = np.asarray(points, dtype=float)
-        arrays = self.centerline_arrays
-        starts, lens, units = arrays.starts, arrays.lens, arrays.units
-        rel = points[:, None, :] - starts[None, :, :]  # (N, S, 2)
-        t = np.clip((rel * units[None, :, :]).sum(axis=2), 0.0, lens[None, :])
-        closest = starts[None, :, :] + t[..., None] * units[None, :, :]
-        diff = points[:, None, :] - closest
-        idx = np.argmin((diff**2).sum(axis=2), axis=1)
-        rows = np.arange(points.shape[0])
-        chosen_units = units[idx]
-        normals = np.column_stack([-chosen_units[:, 1], chosen_units[:, 0]])
-        offsets = (diff[rows, idx] * normals).sum(axis=1)
-        course_yaws = np.arctan2(chosen_units[:, 1], chosen_units[:, 0])
-        return offsets, course_yaws
+        _s, idx, diff = self.centerline.project_lanes(np.asarray(points, dtype=float))
+        units = self.centerline_arrays.units[idx]
+        normals = np.column_stack([-units[:, 1], units[:, 0]])
+        offsets = (diff * normals).sum(axis=1)
+        return offsets, np.arctan2(units[:, 1], units[:, 0])
 
 
 def tunnel_world(length: float = 50.0, width: float = 3.2) -> World:

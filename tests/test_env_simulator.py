@@ -88,6 +88,52 @@ class TestStepping:
         assert d == pytest.approx(0.5, abs=1e-6)
 
 
+class TestCourseProjection:
+    """Every course query of a committed pose shares one projection."""
+
+    def test_at_most_one_projection_per_frame(self, monkeypatch):
+        from repro.core.config import CoSimConfig
+        from repro.core.cosim import run_mission
+        from repro.env.geometry import Polyline
+
+        calls: list[int] = []
+        project = Polyline.project
+
+        def counting(self, point):
+            calls.append(1)
+            return project(self, point)
+
+        monkeypatch.setattr(Polyline, "project", counting)
+        result = run_mission(
+            CoSimConfig(world="s-shape", target_velocity=9.0, max_sim_time=2.0)
+        )
+        frames = len(result.trajectory) - 1
+        assert frames > 0 and result.inference_count > 0
+        # Collision test, trajectory sample, goal test, camera metadata and
+        # sync-log course state: one projection per frame, plus the spawn
+        # sample's.
+        assert len(calls) <= frames + 1
+
+    def test_memo_matches_fresh_projection_through_collisions(self):
+        sim = EnvSimulator(EnvConfig(world="tunnel", initial_angle_deg=60.0))
+        sim.takeoff()
+        sim.send_velocity_target(VelocityTarget(v_forward=6.0, altitude=1.5))
+        for _ in range(120):
+            sim.continue_for_frames(1)
+            st = sim.dynamics.state
+            s, d = sim.world.course_coordinates(np.array([st.x, st.y]))
+            assert sim.course_state() == (s, d, sim.world.heading_error(st.pose))
+            assert (sim.trajectory[-1].s, sim.trajectory[-1].d) == (s, d)
+        assert sim.collision_count > 0
+
+    def test_state_written_from_outside_is_reprojected(self):
+        sim = EnvSimulator(EnvConfig(world="tunnel"))
+        sim.course_state()
+        sim.dynamics.state.x, sim.dynamics.state.y = 20.0, 0.75
+        s, d, _ = sim.course_state()
+        assert (s, d) == sim.world.course_coordinates(np.array([20.0, 0.75]))
+
+
 class TestSensorsApi:
     def test_camera_image(self, env_sim):
         image = env_sim.get_camera_image()

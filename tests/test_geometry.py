@@ -148,6 +148,20 @@ class TestSegmentSoup:
         # Ray along the x-axis is parallel to the segment.
         assert soup.cast_ray(np.zeros(2), 0.0, max_range=99.0) == 99.0
 
+    def test_lanes_equal_one_lane_calls(self, s_shape):
+        # Five lanes solve in blocks of two (the last one ragged); every
+        # lane must match its own one-lane query bit for bit.
+        rng = np.random.default_rng(3)
+        soup = s_shape.walls
+        xs, ys = rng.uniform(1.0, 79.0, 5), rng.uniform(-8.0, 8.0, 5)
+        angles = rng.uniform(-math.pi, math.pi, (5, 48))
+        hits = soup.cast_ray_lanes(xs, ys, angles, 60.0)
+        dists = soup.min_distances(xs, ys)
+        for k in range(5):
+            origin = np.array([xs[k], ys[k]])
+            np.testing.assert_array_equal(hits[k], soup.cast_rays(origin, angles[k], 60.0))
+            assert dists[k] == soup.min_distance(origin)
+
 
 class TestPolyline:
     def test_rejects_single_point(self):
@@ -214,6 +228,18 @@ class TestPolyline:
         segs = line.to_segments()
         assert len(segs) == 2
         assert sum(s.length for s in segs) == pytest.approx(line.length)
+
+
+class TestPolylineLanes:
+    def test_project_lanes_matches_project(self, s_shape):
+        rng = np.random.default_rng(4)
+        line = s_shape.centerline
+        points = np.column_stack([rng.uniform(-2.0, 82.0, 40), rng.uniform(-12.0, 12.0, 40)])
+        s, idx, diff = line.project_lanes(points)
+        for k, point in enumerate(points):
+            want_s, want_d = line.project(point)
+            normal = np.array([-line._dirs[idx[k]][1], line._dirs[idx[k]][0]])
+            assert (float(s[k]), float(diff[k] @ normal)) == (want_s, want_d)
 
 
 class TestRay2:
